@@ -65,6 +65,12 @@ impl From<motor_mpc::MpcError> for CoreError {
     }
 }
 
+impl From<motor_runtime::GraphError> for CoreError {
+    fn from(e: motor_runtime::GraphError) -> Self {
+        CoreError::Serialization(e.to_string())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -13,6 +13,13 @@
 //!
 //! The serialized bytes live in pooled native buffers ([`crate::bufpool`]),
 //! so these operations never pin managed memory (§7.4).
+//!
+//! Transport is linear in the graph size: the serializer's visited set
+//! defaults to the hashed one ([`VisitedStrategy::Hashed`];
+//! [`VisitedStrategy::Linear`] only reproduces Figure 10's "Motor"
+//! series), and a received graph is allocated with one heap reservation,
+//! so a collection never runs while it is half built and promotes none of
+//! it (see [`crate::serial`]).
 
 use std::cell::Cell;
 use std::sync::Arc;
@@ -46,8 +53,8 @@ impl<'t> Oomp<'t> {
             thread,
             comm,
             pool,
-            strategy: VisitedStrategy::Linear,
-            attrs: AttrLookup::FieldDescBit,
+            strategy: VisitedStrategy::default(),
+            attrs: AttrLookup::default(),
             last_epoch: Cell::new(0),
         }
     }
@@ -358,5 +365,113 @@ impl<'t> Oomp<'t> {
             self.pool.adopt(bytes, self.current_epoch());
             Ok(None)
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use motor_runtime::{ClassId, ElemKind, Handle, MotorThread, TypeRegistry};
+
+    use crate::cluster::run_cluster_default;
+
+    const NODES: usize = 512;
+
+    fn define(reg: &mut TypeRegistry) {
+        let arr = reg.prim_array(ElemKind::I32);
+        let next = ClassId(reg.len() as u32);
+        reg.define_class("LinkedArray")
+            .prim("tag", ElemKind::I32)
+            .transportable("array", arr)
+            .transportable("next", next)
+            .reference("next2", next)
+            .build();
+    }
+
+    /// `LinkedArray` list of `NODES` nodes with two ints each: 1024 objects.
+    fn build(t: &MotorThread) -> Handle {
+        let node = t.vm().registry().by_name("LinkedArray").unwrap();
+        let (tag, array, next) = (
+            t.field_index(node, "tag"),
+            t.field_index(node, "array"),
+            t.field_index(node, "next"),
+        );
+        let mut head = t.null_handle();
+        for i in (0..NODES).rev() {
+            let n = t.alloc_instance(node);
+            t.set_prim::<i32>(n, tag, i as i32);
+            let a = t.alloc_prim_array(ElemKind::I32, 2);
+            t.prim_write(a, 0, &[i as i32, -(i as i32)]);
+            t.set_ref(n, array, a);
+            t.set_ref(n, next, head);
+            t.release(a);
+            t.release(head);
+            head = n;
+        }
+        head
+    }
+
+    fn list_len(t: &MotorThread, head: Handle) -> usize {
+        let node = t.class_of(head);
+        let next = t.field_index(node, "next");
+        let mut cur = t.clone_handle(head);
+        let mut n = 0;
+        while !t.is_null(cur) {
+            let nx = t.get_ref(cur, next);
+            t.release(cur);
+            cur = nx;
+            n += 1;
+        }
+        t.release(cur);
+        n
+    }
+
+    /// Round trips of the 1024-object list collect the young generation
+    /// many times on both ranks and promote nothing: a collection only
+    /// runs before a received graph is reserved, never under a half-built
+    /// one.
+    #[test]
+    fn object_round_trips_promote_nothing() {
+        const ROUND_TRIPS: usize = 40;
+        run_cluster_default(2, define, |proc| {
+            let t = proc.thread();
+            let oomp = proc.oomp();
+            let head = if proc.rank() == 0 {
+                let h = build(t);
+                // The long-lived source list is promoted before counting.
+                t.collect_minor();
+                Some(h)
+            } else {
+                None
+            };
+            let before = t.vm().stats_snapshot();
+            for _ in 0..ROUND_TRIPS {
+                if let Some(head) = head {
+                    oomp.osend(head, 1, 7).unwrap();
+                    let (got, _) = oomp.orecv(1, 7).unwrap();
+                    assert_eq!(list_len(t, got), NODES);
+                    t.release(got);
+                } else {
+                    let (got, _) = oomp.orecv(0, 7).unwrap();
+                    oomp.osend(got, 0, 7).unwrap();
+                    t.release(got);
+                }
+            }
+            let after = t.vm().stats_snapshot();
+            assert!(
+                after.minor_collections > before.minor_collections,
+                "rank {}: the young generation filled up",
+                proc.rank()
+            );
+            assert_eq!(
+                after.bytes_promoted,
+                before.bytes_promoted,
+                "rank {}",
+                proc.rank()
+            );
+            if let Some(head) = head {
+                t.release(head);
+            }
+        })
+        .unwrap();
     }
 }

@@ -12,15 +12,19 @@
 //! bit; object-array elements are always propagated; unmarked references
 //! are nulled (paper §4.2.2).
 //!
-//! Two details the paper calls out are reproduced faithfully:
+//! Two details the paper calls out:
 //!
-//! * **The visited-object structure is linear** by default — "at the time
-//!   of writing we employ a linear structure to record objects visited
-//!   during serialization. This causes excessive search times with large
-//!   numbers of objects" — which is exactly what produces Motor's fall-off
-//!   beyond ~2048 objects in Figure 10. The promised fix (a hashed
-//!   structure) is implemented as [`VisitedStrategy::Hashed`] and compared
-//!   in the `ablation_visited` benchmark.
+//! * **The visited-object structure.** The paper's serializer used a
+//!   linear one — "at the time of writing we employ a linear structure to
+//!   record objects visited during serialization. This causes excessive
+//!   search times with large numbers of objects" — which is what produces
+//!   Motor's fall-off beyond ~2048 objects in Figure 10. The default here
+//!   is the structure the paper promised instead,
+//!   [`VisitedStrategy::Hashed`]: a table keyed by object address with an
+//!   in-tree multiplicative hasher, one probe per reference lookup.
+//!   [`VisitedStrategy::Linear`] is kept only so the Figure 10 "Motor"
+//!   series (and the `ablation_visited` benchmark) can reproduce the
+//!   paper's quadratic tail.
 //! * **The Transportable query** uses the fast FieldDesc bit by default;
 //!   the slow metadata/reflection path ([`AttrLookup::Reflection`]) is kept
 //!   for the ablation the paper implies ("introspecting type fields ...
@@ -50,22 +54,39 @@
 //!   md array payload:    [u8 rank][u32 dims...][data]
 //! Root object = record 0.
 //! ```
+//!
+//! ## Deserialization
+//!
+//! [`Serializer::deserialize`] treats its input as untrusted. Phase A
+//! parses and checks every record, bounding each wire count by the bytes
+//! left, and sums the graph's exact heap size with checked arithmetic;
+//! nothing is allocated on the heap yet. Phase B reserves that size once
+//! through [`MotorThread::alloc_graph`], which collects first if the young
+//! generation lacks room (none of the new graph is live then, so nothing
+//! of it is promoted) and places a graph above the large-object threshold
+//! in the elder generation in one piece. Under one hold of the VM state
+//! lock it carves every record, writes fields and patches references by
+//! address; only the root gets a handle.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use motor_obs::{alloc_span_id, EventKind, Metric};
+use motor_runtime::layout;
 use motor_runtime::object::ObjectRef;
-use motor_runtime::{ClassId, ElemKind, FieldType, Handle, MotorThread, TypeKind};
+use motor_runtime::{ClassId, ElemKind, FieldType, GraphRef, Handle, MotorThread, TypeKind};
 
 use crate::error::{CoreError, CoreResult};
 
 /// How visited objects are recorded during the graph walk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum VisitedStrategy {
-    /// Linear list with O(n) lookup — the paper's implementation.
-    #[default]
+    /// Linear list with O(n) lookup — the paper's implementation, kept
+    /// only to reproduce Figure 10's "Motor" series.
     Linear,
-    /// Hash table — the paper's announced future improvement.
+    /// Address-keyed hash table with O(1) lookup — the paper's announced
+    /// improvement, and the default.
+    #[default]
     Hashed,
 }
 
@@ -105,27 +126,77 @@ pub struct Serializer<'t> {
     attrs: AttrLookup,
 }
 
+/// Multiplicative hasher for keys the runtime made itself — object
+/// addresses and class ids, never bytes from the wire — so it needs no
+/// protection against crafted collisions. The folded 128-bit product mixes
+/// every key bit into both the low bits (the table index) and the high
+/// bits (the table's tag byte).
+#[derive(Default)]
+struct AddrHasher(u64);
+
+impl Hasher for AddrHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64((self.0 << 8) | u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        let m = u128::from(n) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = (m as u64) ^ ((m >> 64) as u64);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+}
+
+type AddrMap<K> = HashMap<K, u32, BuildHasherDefault<AddrHasher>>;
+
+/// Initial size of the visited set and the discovery list: one allocation
+/// covers graphs up to this many objects.
+const VISITED_PRESIZE: usize = 256;
+
+/// The linear visited list's scan. Kept out of line: inlined into
+/// `Visited::get` next to the hashed arm it compiled to a loop ~40% slower
+/// at 8192 objects, which moved the Fig. 10 tail.
+#[inline(never)]
+fn linear_find(v: &[usize], addr: usize) -> Option<usize> {
+    v.iter().position(|&a| a == addr)
+}
+
 /// Visited-object record: address → object index. The linear variant is a
 /// plain address array whose position *is* the object index (discovery
 /// order), scanned per lookup — the paper's "linear structure to record
 /// objects visited during serialization".
 enum Visited {
     Linear(Vec<usize>),
-    Hashed(HashMap<usize, u32>),
+    Hashed(AddrMap<usize>),
 }
 
 impl Visited {
     fn new(strategy: VisitedStrategy) -> Visited {
         match strategy {
             VisitedStrategy::Linear => Visited::Linear(Vec::new()),
-            VisitedStrategy::Hashed => Visited::Hashed(HashMap::new()),
+            VisitedStrategy::Hashed => Visited::Hashed(AddrMap::with_capacity_and_hasher(
+                VISITED_PRESIZE,
+                Default::default(),
+            )),
         }
     }
 
     fn get(&self, addr: usize, probes: &mut u64) -> Option<u32> {
         match self {
             Visited::Linear(v) => {
-                if let Some(i) = v.iter().position(|&a| a == addr) {
+                if let Some(i) = linear_find(v, addr) {
                     *probes += i as u64 + 1;
                     return Some(i as u32);
                 }
@@ -174,7 +245,7 @@ impl<'a> Reader<'a> {
         Reader { b, pos: 0 }
     }
     fn take(&mut self, n: usize) -> CoreResult<&'a [u8]> {
-        if self.pos + n > self.b.len() {
+        if n > self.b.len() - self.pos {
             return Err(CoreError::Serialization(format!(
                 "truncated representation at byte {} (+{n})",
                 self.pos
@@ -193,6 +264,21 @@ impl<'a> Reader<'a> {
     fn u32(&mut self) -> CoreResult<u32> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
+    /// A wire count of items at least `min_bytes` long each, bounded by
+    /// the bytes left so no count can allocate beyond the input's size.
+    fn count(&mut self, min_bytes: usize) -> CoreResult<usize> {
+        let n = self.u32()? as usize;
+        if n > (self.b.len() - self.pos) / min_bytes {
+            return Err(CoreError::Serialization(format!(
+                "count {n} at byte {} exceeds the bytes left",
+                self.pos - 4
+            )));
+        }
+        Ok(n)
+    }
+    fn rest(&self) -> &'a [u8] {
+        &self.b[self.pos..]
+    }
     fn str(&mut self) -> CoreResult<String> {
         let n = self.u16()? as usize;
         let s = self.take(n)?;
@@ -209,7 +295,7 @@ struct SerState<'r> {
     /// Discovery-ordered object addresses.
     objects: Vec<usize>,
     /// Sender ClassId → type-table index.
-    type_index: HashMap<u32, u32>,
+    type_index: AddrMap<u32>,
     type_entries: Vec<Vec<u8>>,
 }
 
@@ -282,13 +368,13 @@ impl SerState<'_> {
 }
 
 impl<'t> Serializer<'t> {
-    /// Create a serializer with Motor's defaults (linear visited list,
+    /// Create a serializer with Motor's defaults (hashed visited set,
     /// FieldDesc-bit attribute lookup).
     pub fn new(thread: &'t MotorThread) -> Serializer<'t> {
         Serializer {
             thread,
-            strategy: VisitedStrategy::Linear,
-            attrs: AttrLookup::FieldDescBit,
+            strategy: VisitedStrategy::default(),
+            attrs: AttrLookup::default(),
         }
     }
 
@@ -403,8 +489,8 @@ impl<'t> Serializer<'t> {
             reg: &reg,
             visited: Visited::new(self.strategy),
             probes: 0,
-            objects: Vec::new(),
-            type_index: HashMap::new(),
+            objects: Vec::with_capacity(VISITED_PRESIZE),
+            type_index: AddrMap::default(),
             type_entries: Vec::new(),
         };
         let mut obj_data: Vec<u8> = Vec::new();
@@ -555,266 +641,117 @@ impl<'t> Serializer<'t> {
     }
 
     /// Reconstruct the object graph; returns a handle to the root object
-    /// (record 0). Every intermediate handle is released.
+    /// (record 0), the only handle the pass creates. See the module docs
+    /// for the two phases.
     pub fn deserialize(&self, data: &[u8]) -> CoreResult<Handle> {
-        let reg = self.thread.vm().metrics();
-        reg.bump(Metric::DeserOps);
-        reg.add(Metric::DeserBytes, data.len() as u64);
+        let metrics = self.thread.vm().metrics();
+        metrics.bump(Metric::DeserOps);
+        metrics.add(Metric::DeserBytes, data.len() as u64);
         let pass = alloc_span_id();
-        reg.event3(EventKind::DeserBegin, pass, data.len() as u64, 0);
+        metrics.event3(EventKind::DeserBegin, pass, data.len() as u64, 0);
         let mut r = Reader::new(data);
-        let type_count = r.u32()? as usize;
-        let vm = self.thread.vm();
+        let types = self.read_type_table(&mut r)?;
 
-        // ---- Type table → local types ----
-        let mut types: Vec<LocalType> = Vec::with_capacity(type_count);
-        for _ in 0..type_count {
-            match r.u8()? {
-                TT_CLASS => {
-                    let name = r.str()?;
-                    let nf = r.u16()? as usize;
-                    let mut wire_fields = Vec::with_capacity(nf);
-                    for _ in 0..nf {
-                        let ftag = r.u8()?;
-                        let prim = if ftag == 0 {
-                            Some(ElemKind::from_tag(r.u8()?).ok_or_else(|| {
-                                CoreError::Serialization("bad element tag".into())
-                            })?)
-                        } else {
-                            let _transportable = r.u8()?;
-                            None
-                        };
-                        let fname = r.str()?;
-                        wire_fields.push((fname, prim));
-                    }
-                    let class = vm
-                        .registry()
-                        .by_name(&name)
-                        .ok_or_else(|| CoreError::UnknownType(name.clone()))?;
-                    // Layout verification against the local class.
-                    {
-                        let reg = vm.registry();
-                        let mt = reg.table(class);
-                        if mt.fields.len() != nf {
-                            return Err(CoreError::Serialization(format!(
-                                "type `{name}`: sender has {nf} fields, receiver {}",
-                                mt.fields.len()
-                            )));
-                        }
-                        for (lf, (wname, wprim)) in mt.fields.iter().zip(&wire_fields) {
-                            let ok = match (lf.ty, wprim) {
-                                (FieldType::Prim(a), Some(b)) => a == *b,
-                                (FieldType::Ref(_), None) => true,
-                                _ => false,
-                            };
-                            if lf.name != *wname || !ok {
-                                return Err(CoreError::Serialization(format!(
-                                    "type `{name}`: field `{wname}` mismatch"
-                                )));
-                            }
-                        }
-                    }
-                    let fields = wire_fields.into_iter().map(|(_, prim)| prim).collect();
-                    types.push(LocalType::Class { class, fields });
-                }
-                TT_PRIM_ARRAY => {
-                    let k = ElemKind::from_tag(r.u8()?)
-                        .ok_or_else(|| CoreError::Serialization("bad element tag".into()))?;
-                    types.push(LocalType::PrimArray(k));
-                }
-                TT_OBJ_ARRAY => {
-                    let elem_idx = r.u32()? as usize;
-                    types.push(LocalType::ObjArray {
-                        elem_type: elem_idx,
-                    });
-                }
-                TT_MD_ARRAY => {
-                    let k = ElemKind::from_tag(r.u8()?)
-                        .ok_or_else(|| CoreError::Serialization("bad element tag".into()))?;
-                    let rank = r.u8()?;
-                    types.push(LocalType::MdArray { elem: k, rank });
-                }
-                other => return Err(CoreError::Serialization(format!("bad type kind {other}"))),
-            }
-        }
-        // Resolve object-array element classes (may reference later
-        // entries, hence the second pass).
-        let elem_class_of = |types: &[LocalType], idx: usize| -> CoreResult<ClassId> {
-            match types.get(idx) {
-                Some(LocalType::Class { class, .. }) => Ok(*class),
-                Some(LocalType::PrimArray(k)) => Ok(self.thread.array_class(*k)),
-                Some(LocalType::ObjArray { .. }) | Some(LocalType::MdArray { .. }) => {
-                    Err(CoreError::Serialization(
-                        "nested array element classes are resolved lazily; \
-                         unsupported element type"
-                            .into(),
-                    ))
-                }
-                None => Err(CoreError::Serialization(format!(
-                    "bad elem type index {idx}"
-                ))),
-            }
-        };
-
-        // ---- Phase A: parse all records ----
-        let object_count = r.u32()? as usize;
+        // ---- Phase A: parse every record and size the graph ----
+        // Each record starts with its u32 type index.
+        let object_count = r.count(4)?;
         if object_count == 0 {
             return Err(CoreError::Serialization("empty representation".into()));
         }
-        enum Parsed<'a> {
-            Class {
-                t: usize,
-                prims: Vec<(usize, &'a [u8])>,
-                refs: Vec<(usize, u32)>,
-            },
-            PrimArray {
-                t: usize,
-                data: &'a [u8],
-            },
-            ObjArray {
-                t: usize,
-                elems: Vec<u32>,
-            },
-            MdArray {
-                t: usize,
-                dims: Vec<u32>,
-                data: &'a [u8],
-            },
-        }
-        let mut parsed: Vec<Parsed> = Vec::with_capacity(object_count);
+        let overflow = || CoreError::Serialization("object graph size overflows".into());
+        // (type index, payload) per record.
+        let mut records: Vec<(usize, &[u8])> = Vec::with_capacity(object_count);
+        let mut graph_bytes = 0usize;
         for _ in 0..object_count {
             let t = r.u32()? as usize;
-            match types.get(t) {
-                Some(LocalType::Class { fields, .. }) => {
-                    let mut prims = Vec::new();
-                    let mut refs = Vec::new();
-                    for (fi, f) in fields.iter().enumerate() {
-                        match f {
-                            Some(k) => prims.push((fi, r.take(k.size())?)),
-                            None => {
-                                let idx = r.u32()?;
-                                if idx != NULL_REF {
-                                    refs.push((fi, idx));
-                                }
-                            }
-                        }
+            let start = r.pos;
+            let size = match types.get(t) {
+                Some(LocalType::Class { fields, size, .. }) => {
+                    for f in fields {
+                        r.take(f.map_or(4, |k| k.size()))?;
                     }
-                    parsed.push(Parsed::Class { t, prims, refs });
+                    *size
                 }
-                Some(LocalType::PrimArray(k)) => {
+                Some(LocalType::PrimArray { kind, .. }) => {
                     let len = r.u32()? as usize;
-                    parsed.push(Parsed::PrimArray {
-                        t,
-                        data: r.take(len * k.size())?,
-                    });
+                    r.take(len.checked_mul(kind.size()).ok_or_else(overflow)?)?;
+                    layout::prim_array_alloc_size(*kind, len)
                 }
                 Some(LocalType::ObjArray { .. }) => {
-                    let len = r.u32()? as usize;
-                    let mut elems = Vec::with_capacity(len);
-                    for _ in 0..len {
-                        elems.push(r.u32()?);
-                    }
-                    parsed.push(Parsed::ObjArray { t, elems });
+                    let len = r.count(4)?;
+                    r.take(4 * len)?;
+                    layout::obj_array_alloc_size(len)
                 }
-                Some(LocalType::MdArray { elem, rank }) => {
-                    let wire_rank = r.u8()?;
-                    if wire_rank != *rank {
-                        return Err(CoreError::Serialization("md rank mismatch".into()));
-                    }
-                    let mut dims = Vec::with_capacity(*rank as usize);
-                    for _ in 0..*rank {
-                        dims.push(r.u32()?);
-                    }
-                    let count: usize = dims.iter().map(|&d| d as usize).product();
-                    parsed.push(Parsed::MdArray {
-                        t,
-                        dims,
-                        data: r.take(count * elem.size())?,
-                    });
+                Some(LocalType::MdArray { elem, rank, .. }) => {
+                    let dims = read_md_dims(&mut r, *rank)?;
+                    let bytes = dims
+                        .iter()
+                        .try_fold(elem.size(), |n, &d| n.checked_mul(d as usize))
+                        .ok_or_else(overflow)?;
+                    r.take(bytes)?;
+                    layout::md_array_alloc_size(*elem, &dims)
                 }
                 None => return Err(CoreError::Serialization(format!("bad type index {t}"))),
-            }
-        }
-
-        // ---- Phase B: allocate and fill primitive content ----
-        let mut handles: Vec<Handle> = Vec::with_capacity(object_count);
-        for p in &parsed {
-            let h = match p {
-                Parsed::Class { t, prims, .. } => {
-                    let (class, fields) = match &types[*t] {
-                        LocalType::Class { class, fields } => (*class, fields),
-                        _ => unreachable!(),
-                    };
-                    let h = self.thread.alloc_instance(class);
-                    for &(fi, raw) in prims {
-                        let k = fields[fi].expect("prim field");
-                        write_prim_field(self.thread, h, fi, k, raw);
-                    }
-                    h
-                }
-                Parsed::PrimArray { t, data } => {
-                    let k = match &types[*t] {
-                        LocalType::PrimArray(k) => *k,
-                        _ => unreachable!(),
-                    };
-                    let h = self.thread.alloc_prim_array(k, data.len() / k.size());
-                    write_array_bytes(self.thread, h, data);
-                    h
-                }
-                Parsed::ObjArray { t, elems } => {
-                    let elem_type = match &types[*t] {
-                        LocalType::ObjArray { elem_type } => *elem_type,
-                        _ => unreachable!(),
-                    };
-                    let elem_class = elem_class_of(&types, elem_type)?;
-                    self.thread.alloc_obj_array(elem_class, elems.len())
-                }
-                Parsed::MdArray { t, dims, data } => {
-                    let elem = match &types[*t] {
-                        LocalType::MdArray { elem, .. } => *elem,
-                        _ => unreachable!(),
-                    };
-                    let h = self.thread.alloc_md_array(elem, dims);
-                    write_array_bytes(self.thread, h, data);
-                    h
-                }
             };
-            handles.push(h);
+            records.push((t, &data[start..r.pos]));
+            graph_bytes = graph_bytes.checked_add(size).ok_or_else(overflow)?;
         }
 
-        // ---- Phase C: patch references ----
-        let get_target = |handles: &[Handle], idx: u32| -> CoreResult<Handle> {
-            handles
-                .get(idx as usize)
-                .copied()
-                .ok_or_else(|| CoreError::Serialization(format!("bad object index {idx}")))
-        };
-        for (oi, p) in parsed.iter().enumerate() {
-            match p {
-                Parsed::Class { refs, .. } => {
-                    for &(fi, idx) in refs {
-                        let target = get_target(&handles, idx)?;
-                        self.thread.set_ref(handles[oi], fi, target);
+        // ---- Phase B: one reservation, filled under one lock hold ----
+        let root =
+            self.thread
+                .alloc_graph(graph_bytes, object_count, |g| -> CoreResult<GraphRef> {
+                    // Carve every record in order, so object `i` is record `i`.
+                    for &(t, payload) in &records {
+                        let mut p = Reader::new(payload);
+                        match &types[t] {
+                            LocalType::Class { class, .. } => g.instance(*class)?,
+                            LocalType::PrimArray { class, .. } => {
+                                p.u32()?;
+                                g.prim_array(*class, p.rest())?
+                            }
+                            LocalType::ObjArray { class, .. } => {
+                                g.obj_array(*class, p.u32()? as usize)?
+                            }
+                            LocalType::MdArray { class, rank, .. } => {
+                                let dims = read_md_dims(&mut p, *rank)?;
+                                g.md_array(*class, &dims, p.rest())?
+                            }
+                        };
                     }
-                }
-                Parsed::ObjArray { elems, .. } => {
-                    for (ei, &idx) in elems.iter().enumerate() {
-                        if idx != NULL_REF {
-                            let target = get_target(&handles, idx)?;
-                            self.thread.obj_array_set(handles[oi], ei, target);
+                    // Write fields and patch references by address.
+                    for (i, &(t, payload)) in records.iter().enumerate() {
+                        let obj = GraphRef(i as u32);
+                        let mut p = Reader::new(payload);
+                        match &types[t] {
+                            LocalType::Class { fields, .. } => {
+                                for (fi, f) in fields.iter().enumerate() {
+                                    match f {
+                                        Some(k) => g.write_prim(obj, fi, p.take(k.size())?)?,
+                                        None => {
+                                            let idx = p.u32()?;
+                                            if idx != NULL_REF {
+                                                g.set_ref(obj, fi, GraphRef(idx))?;
+                                            }
+                                        }
+                                    }
+                                }
+                            }
+                            LocalType::ObjArray { .. } => {
+                                let len = p.u32()? as usize;
+                                for ei in 0..len {
+                                    let idx = p.u32()?;
+                                    if idx != NULL_REF {
+                                        g.set_elem(obj, ei, GraphRef(idx))?;
+                                    }
+                                }
+                            }
+                            LocalType::PrimArray { .. } | LocalType::MdArray { .. } => {}
                         }
                     }
-                }
-                _ => {}
-            }
-        }
-
-        // Keep the root; release the rest.
-        let root = handles[0];
-        for h in handles.into_iter().skip(1) {
-            self.thread.release(h);
-        }
-        self.thread.vm().metrics().event3(
+                    Ok(GraphRef(0))
+                })?;
+        metrics.event3(
             EventKind::DeserEnd,
             pass,
             data.len() as u64,
@@ -822,58 +759,151 @@ impl<'t> Serializer<'t> {
         );
         Ok(root)
     }
+
+    /// Parse the type table and resolve every entry to a local class,
+    /// checking each class's layout against the sender's.
+    fn read_type_table(&self, r: &mut Reader<'_>) -> CoreResult<Vec<LocalType>> {
+        let vm = self.thread.vm();
+        let bad_tag = || CoreError::Serialization("bad element tag".into());
+        // Every entry is at least its kind byte and one more.
+        let type_count = r.count(2)?;
+        // Object arrays name their element entry by index, which may come
+        // later in the table; they are resolved in a second pass.
+        let mut types: Vec<LocalType> = Vec::with_capacity(type_count);
+        for _ in 0..type_count {
+            let ty = match r.u8()? {
+                TT_CLASS => {
+                    let name = r.str()?;
+                    let nf = r.u16()? as usize;
+                    let mut wire_fields = Vec::with_capacity(nf);
+                    for _ in 0..nf {
+                        let ftag = r.u8()?;
+                        let prim = if ftag == 0 {
+                            Some(ElemKind::from_tag(r.u8()?).ok_or_else(bad_tag)?)
+                        } else {
+                            let _transportable = r.u8()?;
+                            None
+                        };
+                        let fname = r.str()?;
+                        wire_fields.push((fname, prim));
+                    }
+                    let reg = vm.registry();
+                    let class = reg
+                        .by_name(&name)
+                        .ok_or_else(|| CoreError::UnknownType(name.clone()))?;
+                    // Layout verification against the local class.
+                    let mt = reg.table(class);
+                    if mt.fields.len() != nf {
+                        return Err(CoreError::Serialization(format!(
+                            "type `{name}`: sender has {nf} fields, receiver {}",
+                            mt.fields.len()
+                        )));
+                    }
+                    for (lf, (wname, wprim)) in mt.fields.iter().zip(&wire_fields) {
+                        let ok = match (lf.ty, wprim) {
+                            (FieldType::Prim(a), Some(b)) => a == *b,
+                            (FieldType::Ref(_), None) => true,
+                            _ => false,
+                        };
+                        if lf.name != *wname || !ok {
+                            return Err(CoreError::Serialization(format!(
+                                "type `{name}`: field `{wname}` mismatch"
+                            )));
+                        }
+                    }
+                    LocalType::Class {
+                        class,
+                        fields: wire_fields.into_iter().map(|(_, prim)| prim).collect(),
+                        size: layout::class_alloc_size(mt),
+                    }
+                }
+                TT_PRIM_ARRAY => {
+                    let kind = ElemKind::from_tag(r.u8()?).ok_or_else(bad_tag)?;
+                    LocalType::PrimArray {
+                        class: self.thread.array_class(kind),
+                        kind,
+                    }
+                }
+                TT_OBJ_ARRAY => LocalType::ObjArray {
+                    class: ClassId(u32::MAX),
+                    elem_type: r.u32()? as usize,
+                },
+                TT_MD_ARRAY => {
+                    let elem = ElemKind::from_tag(r.u8()?).ok_or_else(bad_tag)?;
+                    let rank = r.u8()?;
+                    if rank < 2 {
+                        return Err(CoreError::Serialization(format!("md rank {rank} below 2")));
+                    }
+                    LocalType::MdArray {
+                        class: self.thread.md_array_class(elem, rank),
+                        elem,
+                        rank,
+                    }
+                }
+                other => return Err(CoreError::Serialization(format!("bad type kind {other}"))),
+            };
+            types.push(ty);
+        }
+        for i in 0..types.len() {
+            let LocalType::ObjArray { elem_type, .. } = types[i] else {
+                continue;
+            };
+            let elem_class = match types.get(elem_type) {
+                Some(LocalType::Class { class, .. } | LocalType::PrimArray { class, .. }) => *class,
+                Some(LocalType::ObjArray { .. } | LocalType::MdArray { .. }) => {
+                    return Err(CoreError::Serialization(
+                        "nested array element classes are unsupported".into(),
+                    ))
+                }
+                None => {
+                    return Err(CoreError::Serialization(format!(
+                        "bad elem type index {elem_type}"
+                    )))
+                }
+            };
+            if let LocalType::ObjArray { class, .. } = &mut types[i] {
+                *class = self.thread.obj_array_class(elem_class);
+            }
+        }
+        Ok(types)
+    }
 }
 
+/// One type-table entry resolved to the receiver's class.
 enum LocalType {
     Class {
         class: ClassId,
+        /// Per field: its primitive kind, or `None` for a reference.
         fields: Vec<Option<ElemKind>>,
+        /// Heap bytes of one instance.
+        size: usize,
     },
-    PrimArray(ElemKind),
+    PrimArray {
+        class: ClassId,
+        kind: ElemKind,
+    },
     ObjArray {
+        class: ClassId,
         elem_type: usize,
     },
     MdArray {
+        class: ClassId,
         elem: ElemKind,
         rank: u8,
     },
 }
 
+/// An md-array record's `[u8 rank][u32 dims...]` prefix.
+fn read_md_dims(r: &mut Reader<'_>, rank: u8) -> CoreResult<Vec<u32>> {
+    if r.u8()? != rank {
+        return Err(CoreError::Serialization("md rank mismatch".into()));
+    }
+    (0..rank).map(|_| r.u32()).collect()
+}
+
 enum RangeRoot {
     Objects { elem: u32, elems: Vec<usize> },
     Prims { kind: ElemKind, data: Vec<u8> },
-}
-
-fn write_prim_field(t: &MotorThread, h: Handle, fi: usize, k: ElemKind, raw: &[u8]) {
-    macro_rules! w {
-        ($ty:ty) => {{
-            let v = <$ty>::from_le_bytes(raw.try_into().unwrap());
-            t.set_prim::<$ty>(h, fi, v);
-        }};
-    }
-    match k {
-        ElemKind::Bool | ElemKind::U8 => w!(u8),
-        ElemKind::I8 => w!(i8),
-        ElemKind::I16 => w!(i16),
-        ElemKind::U16 | ElemKind::Char => w!(u16),
-        ElemKind::I32 => w!(i32),
-        ElemKind::U32 => w!(u32),
-        ElemKind::I64 => w!(i64),
-        ElemKind::U64 => w!(u64),
-        ElemKind::F32 => w!(f32),
-        ElemKind::F64 => w!(f64),
-    }
-}
-
-/// Bulk-fill a freshly allocated primitive/md array from raw bytes.
-fn write_array_bytes(t: &MotorThread, h: Handle, raw: &[u8]) {
-    let (p, len) = t.raw_data_window(h);
-    assert_eq!(len, raw.len(), "array byte-length mismatch");
-    // SAFETY: freshly allocated array; cooperative non-polling context
-    // (no safepoint between the window resolution and this write).
-    unsafe {
-        std::ptr::copy_nonoverlapping(raw.as_ptr(), p, raw.len());
-    }
 }
 
 #[cfg(test)]
@@ -1182,9 +1212,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn deserialization_survives_gc_pressure() {
-        // Small young generation so deserialization itself triggers GC.
+    fn small_young_vm() -> Fixture {
+        // 4 KiB young generation: graphs above 2 KiB go to the elder one.
         let vm = Vm::new(VmConfig {
             heap: motor_runtime::heap::HeapConfig {
                 young_bytes: 4096,
@@ -1192,7 +1221,7 @@ mod tests {
             },
             ..Default::default()
         });
-        let (node, _arr) = {
+        let (node, arr_i32) = {
             let mut reg = vm.registry_mut();
             let arr = reg.prim_array(ElemKind::I32);
             let next_id = ClassId(reg.len() as u32);
@@ -1205,20 +1234,162 @@ mod tests {
                 .build();
             (node, arr)
         };
-        let f = Fixture {
-            vm: Arc::clone(&vm),
-            node,
-            arr_i32: ClassId(0),
-        };
-        let t = MotorThread::attach(Arc::clone(&vm));
+        Fixture { vm, node, arr_i32 }
+    }
+
+    /// The collection a full young generation needs runs before the graph
+    /// is reserved, so it promotes none of the graph; the graph is intact,
+    /// and stays intact through collections forced right after.
+    #[test]
+    fn deserialization_survives_gc_pressure() {
+        let f = small_young_vm();
+        let vm = &f.vm;
+        let t = MotorThread::attach(Arc::clone(vm));
+        let head = build_list(&t, &f, 8, 16);
+        let ser = Serializer::new(&t);
+        let (buf, _) = ser.serialize(head).unwrap();
+        // Promote the source list, then fill the young generation with
+        // garbage so the graph cannot fit without a collection.
+        t.collect_minor();
+        for _ in 0..15 {
+            let g = t.alloc_prim_array(ElemKind::U8, 256);
+            t.release(g);
+        }
+        let before = vm.stats_snapshot();
+        let copy = ser.deserialize(&buf).unwrap();
+        let after = vm.stats_snapshot();
+        assert_eq!(after.minor_collections, before.minor_collections + 1);
+        assert_eq!(after.bytes_promoted, before.bytes_promoted);
+        assert!(t.is_young(copy));
+        check_list(&t, &f, copy, 8, 16);
+        t.collect_minor();
+        check_list(&t, &f, copy, 8, 16);
+        t.collect_full();
+        check_list(&t, &f, copy, 8, 16);
+        motor_runtime::verify_heap(vm).unwrap();
+        assert_eq!(f.arr_i32, t.array_class(ElemKind::I32));
+    }
+
+    #[test]
+    fn graph_larger_than_the_young_generation_deserializes_intact() {
+        let f = small_young_vm();
+        let t = MotorThread::attach(Arc::clone(&f.vm));
         let head = build_list(&t, &f, 100, 16);
         let ser = Serializer::new(&t);
         let (buf, _) = ser.serialize(head).unwrap();
-        let before = vm.stats_snapshot().minor_collections;
         let copy = ser.deserialize(&buf).unwrap();
-        let after = vm.stats_snapshot().minor_collections;
-        assert!(after > before, "GC ran during deserialization");
+        assert!(
+            !t.is_young(copy),
+            "placed in the elder generation in one piece"
+        );
         check_list(&t, &f, copy, 100, 16);
-        let _ = f.arr_i32;
+        motor_runtime::verify_heap(&f.vm).unwrap();
+        t.collect_full();
+        check_list(&t, &f, copy, 100, 16);
+        motor_runtime::verify_heap(&f.vm).unwrap();
+    }
+
+    #[test]
+    fn default_visited_probes_equal_reference_lookups() {
+        let f = fixture();
+        let t = MotorThread::attach(Arc::clone(&f.vm));
+        // A list: the root plus one lookup per array and per non-null next.
+        let head = build_list(&t, &f, 50, 2);
+        let (_, s) = Serializer::new(&t).serialize(head).unwrap();
+        assert_eq!(s.visited_probes, 1 + 50 + 49);
+        assert_eq!(s.visited_probes, s.objects as u64);
+        // Two nodes sharing an array: four lookups find three objects.
+        let (farr, fnext) = (
+            t.field_index(f.node, "array"),
+            t.field_index(f.node, "next"),
+        );
+        let shared = t.alloc_prim_array(ElemKind::I32, 1);
+        let a = t.alloc_instance(f.node);
+        let b = t.alloc_instance(f.node);
+        t.set_ref(a, farr, shared);
+        t.set_ref(b, farr, shared);
+        t.set_ref(a, fnext, b);
+        let (_, s) = Serializer::new(&t).serialize(a).unwrap();
+        assert_eq!((s.visited_probes, s.objects), (4, 3));
+    }
+
+    /// Hostile counts fail before anything is allocated from them.
+    #[test]
+    fn hostile_counts_are_rejected_without_allocating() {
+        let f = fixture();
+        let t = MotorThread::attach(Arc::clone(&f.vm));
+        let ser = Serializer::new(&t);
+        let heap_state = || {
+            let st = f.vm.state();
+            (st.heap.usage(), st.handles.live())
+        };
+        let before = heap_state();
+        // A type count of 2^31 - 1 with nothing behind it.
+        assert!(ser.deserialize(&[0xff, 0xff, 0xff, 0x7f]).is_err());
+        // An empty type table, then u32::MAX records.
+        assert!(ser
+            .deserialize(&[0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff])
+            .is_err());
+        // One record of an i32 array claiming u32::MAX elements.
+        let mut b = vec![
+            1,
+            0,
+            0,
+            0,
+            TT_PRIM_ARRAY,
+            ElemKind::I32.tag(),
+            1,
+            0,
+            0,
+            0,
+            0,
+            0,
+            0,
+            0,
+        ];
+        b.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert!(ser.deserialize(&b).is_err());
+        // One record of an object array claiming u32::MAX elements.
+        let mut b = vec![1, 0, 0, 0, TT_OBJ_ARRAY, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0];
+        b.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert!(ser.deserialize(&b).is_err());
+        assert_eq!(heap_state(), before);
+    }
+
+    #[test]
+    fn overflowing_md_dims_product_is_rejected() {
+        let f = fixture();
+        let t = MotorThread::attach(Arc::clone(&f.vm));
+        let before = f.vm.state().heap.usage();
+        let mut b = vec![1, 0, 0, 0, TT_MD_ARRAY, ElemKind::F64.tag(), 4];
+        b.extend_from_slice(&[1, 0, 0, 0, 0, 0, 0, 0, 4]);
+        for _ in 0..4 {
+            b.extend_from_slice(&u32::MAX.to_le_bytes());
+        }
+        let r = Serializer::new(&t).deserialize(&b);
+        assert!(
+            matches!(&r, Err(CoreError::Serialization(m)) if m.contains("overflow")),
+            "{r:?}"
+        );
+        assert_eq!(f.vm.state().heap.usage(), before);
+    }
+
+    /// A reference to a record that does not exist fails the pass and
+    /// leaves the heap parseable.
+    #[test]
+    fn dangling_object_index_is_rejected() {
+        let f = fixture();
+        let t = MotorThread::attach(Arc::clone(&f.vm));
+        let head = build_list(&t, &f, 1, 1);
+        let ser = Serializer::new(&t);
+        let (mut buf, _) = ser.serialize(head).unwrap();
+        // The list is record 0 (type, tag, array, next, next2: 20 bytes)
+        // then record 1 (type, len, one i32: 12 bytes). Record 0's `array`
+        // names record 1; point it past the end.
+        let at = buf.len() - 12 - 20 + 8;
+        assert_eq!(&buf[at..at + 4], &1u32.to_le_bytes());
+        buf[at..at + 4].copy_from_slice(&7u32.to_le_bytes());
+        assert!(ser.deserialize(&buf).is_err());
+        motor_runtime::verify_heap(&f.vm).unwrap();
     }
 }

@@ -139,6 +139,23 @@ pub struct FreeBlock {
     pub size: usize,
 }
 
+/// A contiguous run of heap bytes handed out by [`Heap::reserve`], to be
+/// carved into objects by its holder.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Reservation {
+    /// Address of the first reserved byte.
+    pub base: usize,
+    /// Bytes reserved.
+    pub len: usize,
+    /// Whether the run lies in the elder generation.
+    pub old: bool,
+    /// Whether the run ends at its segment's bump pointer (young, or the
+    /// last elder segment), so an unused tail is given back by moving that
+    /// pointer; otherwise it was a free-list block and a tail goes back to
+    /// the free list, which needs it to be 0 or at least `HEADER_SIZE`.
+    pub at_top: bool,
+}
+
 /// Heap configuration.
 #[derive(Debug, Clone)]
 pub struct HeapConfig {
@@ -308,6 +325,91 @@ impl Heap {
         r.ok()
     }
 
+    /// Reserve `bytes` (aligned, non-zero) as one contiguous, unstamped run
+    /// for several objects: in the young generation, or, past the
+    /// large-object threshold, in one piece in the elder generation (the
+    /// last segment's bump space, else a free block, else a new segment).
+    /// Either way every object carved from the run lives in one
+    /// generation. The holder must stamp a header over every byte it keeps
+    /// and hand the rest back with [`Heap::release_tail`] before anything
+    /// else allocates in or walks the heap.
+    pub(crate) fn reserve(&mut self, bytes: usize) -> Result<Reservation, AllocPressure> {
+        debug_assert!(bytes > 0 && bytes.is_multiple_of(ALIGN));
+        let run = |base, old, at_top| Reservation {
+            base,
+            len: bytes,
+            old,
+            at_top,
+        };
+        if bytes <= self.large_object_threshold() {
+            let base = self
+                .young
+                .try_bump(bytes)
+                .ok_or(AllocPressure::NeedsMinor)?;
+            return Ok(run(base, false, true));
+        }
+        if self.old_bytes_used.saturating_add(bytes) > self.config.old_soft_limit {
+            return Err(AllocPressure::NeedsFull);
+        }
+        self.old_bytes_used += bytes;
+        if let Some(base) = self.old.last_mut().and_then(|s| s.try_bump(bytes)) {
+            return Ok(run(base, true, true));
+        }
+        // First fit, taking a whole block or leaving a remainder big enough
+        // for a free-block header.
+        let fits = |b: &FreeBlock| b.size == bytes || b.size >= bytes + HEADER_SIZE;
+        if let Some(pos) = self.free_list.iter().position(fits) {
+            let block = self.free_list[pos];
+            if block.size == bytes {
+                self.free_list.swap_remove(pos);
+            } else {
+                let rest = FreeBlock {
+                    addr: block.addr + bytes,
+                    size: block.size - bytes,
+                };
+                Self::stamp_free(rest.addr, rest.size);
+                self.free_list[pos] = rest;
+            }
+            return Ok(run(block.addr, true, false));
+        }
+        let mut seg = Segment::new(self.config.old_segment_bytes.max(bytes));
+        let base = seg.try_bump(bytes).expect("fresh segment fits request");
+        self.old.push(seg);
+        Ok(run(base, true, true))
+    }
+
+    /// Give back all but the first `used` bytes of `r`, the latest
+    /// reservation.
+    pub(crate) fn release_tail(&mut self, r: Reservation, used: usize) {
+        let tail = r.len - used;
+        debug_assert!(tail.is_multiple_of(ALIGN));
+        if tail == 0 {
+            return;
+        }
+        if r.old {
+            self.old_bytes_used -= tail;
+        }
+        if !r.at_top {
+            debug_assert!(tail >= HEADER_SIZE, "free-list tail too small for a header");
+            let rest = FreeBlock {
+                addr: r.base + used,
+                size: tail,
+            };
+            Self::stamp_free(rest.addr, rest.size);
+            self.free_list.push(rest);
+            return;
+        }
+        let seg = if r.old {
+            self.old
+                .last_mut()
+                .expect("elder reservation has a segment")
+        } else {
+            &mut self.young
+        };
+        debug_assert_eq!(seg.base() + seg.bump, r.base + r.len, "not the latest bump");
+        seg.bump -= tail;
+    }
+
     /// Append free blocks discovered outside a sweep (pinned-block
     /// promotion) and subtract their bytes from elder usage accounting.
     pub fn add_free_blocks(&mut self, blocks: Vec<FreeBlock>, freed: usize) {
@@ -315,7 +417,7 @@ impl Heap {
         self.old_bytes_used = self.old_bytes_used.saturating_sub(freed);
     }
 
-    fn stamp(addr: usize, size: usize, mut header: ObjHeader) {
+    pub(crate) fn stamp(addr: usize, size: usize, mut header: ObjHeader) {
         header.size = size as u32;
         // SAFETY: addr..addr+size was just carved out of a segment we own.
         unsafe {

@@ -42,6 +42,7 @@
 //! | [`layout`] | object header layout and size computation |
 //! | [`heap`] | segments, the two generations, allocation, containment tests |
 //! | [`gc`] | minor (copying) and full (mark-sweep) collection |
+//! | [`graph`] | whole-graph allocation: one reservation per received object graph |
 //! | [`pin`] | the pin table: hard pins and conditional pin requests |
 //! | [`handles`] | GC-protected handle table and RAII scopes |
 //! | [`safepoint`] | the stop-the-world coordination protocol |
@@ -51,6 +52,7 @@
 //! | [`stats`] | collection/pinning counters used by tests and ablations |
 
 pub mod gc;
+pub mod graph;
 pub mod handles;
 pub mod heap;
 pub mod layout;
@@ -63,6 +65,7 @@ pub mod types;
 pub mod verify;
 pub mod vm;
 
+pub use graph::{GraphBuilder, GraphError, GraphRef};
 pub use handles::Handle;
 pub use object::ObjectRef;
 pub use pin::{PinCondition, PinToken};

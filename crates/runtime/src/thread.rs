@@ -16,13 +16,14 @@
 use std::cell::Cell;
 use std::sync::Arc;
 
+use crate::graph::{GraphBuilder, GraphError, GraphRef};
 use crate::handles::Handle;
 use crate::heap::AllocPressure;
 use crate::layout::{self, ObjHeader};
 use crate::object::ObjectRef;
 use crate::pin::{PinCondition, PinToken};
 use crate::types::{ClassId, ElemKind, FieldType, TypeKind};
-use crate::vm::Vm;
+use crate::vm::{Vm, VmState};
 
 /// Marker trait tying Rust primitive types to managed element kinds.
 pub trait Prim: Copy + 'static {
@@ -209,18 +210,23 @@ impl MotorThread {
         self.vm.state().handles.create(addr)
     }
 
+    /// Canonical multidimensional-array class id.
+    pub fn md_array_class(&self, kind: ElemKind, rank: u8) -> ClassId {
+        // NB: take the read guard in its own statement — an `if let`
+        // scrutinee temporary would still hold the read lock inside an
+        // `else` branch that needs the write lock.
+        let existing = self.vm.registry().md_array_id(kind, rank);
+        match existing {
+            Some(id) => id,
+            None => self.vm.registry_mut().md_array(kind, rank),
+        }
+    }
+
     /// Allocate a true multidimensional array (row-major, zeroed) — the
     /// CLI feature the paper contrasts with Java's arrays-of-arrays (§3).
     pub fn alloc_md_array(&self, kind: ElemKind, dims: &[u32]) -> Handle {
         assert!(dims.len() >= 2, "md arrays have rank >= 2");
-        // NB: take the read guard in its own statement — an `if let`
-        // scrutinee temporary would still hold the read lock inside an
-        // `else` branch that needs the write lock.
-        let existing = self.vm.registry().md_array_id(kind, dims.len() as u8);
-        let class = match existing {
-            Some(id) => id,
-            None => self.vm.registry_mut().md_array(kind, dims.len() as u8),
-        };
+        let class = self.md_array_class(kind, dims.len() as u8);
         let count: usize = dims.iter().map(|&d| d as usize).product();
         let size = layout::md_array_alloc_size(kind, dims);
         let addr = self.alloc_with_retry(
@@ -242,6 +248,52 @@ impl MotorThread {
             }
         }
         self.vm.state().handles.create(addr)
+    }
+
+    /// Allocate a whole object graph of exactly `bytes` bytes (the sum of
+    /// its objects' allocation sizes) and `objects` objects — see
+    /// [`crate::graph`]. Collects first if the heap lacks room, then holds
+    /// the VM state lock while `build` carves and fills the objects, and
+    /// returns one handle, to the object `build` names as the root.
+    ///
+    /// No safepoint is polled from the reservation to the root handle, so
+    /// no collection can see the graph half built.
+    pub fn alloc_graph<E: From<GraphError>>(
+        &self,
+        bytes: usize,
+        objects: usize,
+        build: impl FnOnce(&mut GraphBuilder<'_>) -> Result<GraphRef, E>,
+    ) -> Result<Handle, E> {
+        if bytes == 0 || !bytes.is_multiple_of(layout::ALIGN) {
+            return Err(GraphError::from("graph size is not a whole number of objects").into());
+        }
+        self.poll();
+        let mut collected_full = false;
+        let (mut st, res) = loop {
+            let mut st = self.vm.state();
+            let pressure = match st.heap.reserve(bytes) {
+                Ok(res) => break (st, res),
+                Err(p) => p,
+            };
+            drop(st);
+            if pressure == AllocPressure::NeedsFull {
+                if collected_full {
+                    return Err(
+                        GraphError::from("graph exceeds the elder generation's limit").into(),
+                    );
+                }
+                collected_full = true;
+            }
+            self.run_collection(pressure);
+        };
+        let reg = self.vm.registry();
+        let VmState { heap, handles, .. } = &mut *st;
+        let addr = {
+            let mut b = GraphBuilder::new(heap, &reg, res, objects);
+            let root = build(&mut b)?;
+            b.addr(root)?
+        };
+        Ok(handles.create(addr))
     }
 
     // ------------------------------------------------------------------

@@ -8,7 +8,7 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use motor_obs::{EventKind, MetricsRegistry};
+use motor_obs::{EventKind, MetricsRegistry, TimeBucket};
 use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::gc;
@@ -199,6 +199,8 @@ impl Vm {
     /// Run a collection of the given kind. The caller must already hold
     /// the collector role from [`Safepoint::try_begin_gc`].
     pub(crate) fn collect_exclusive(&self, kind: AllocPressure) {
+        // Bill the pause, lock wait included, to the `gc` time bucket.
+        let _gc = self.metrics.phase_scope(TimeBucket::Gc);
         let mut st = self.state.lock();
         let reg = self.registry.read();
         let nt = self.never_transported.read();
@@ -242,6 +244,7 @@ impl Vm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use motor_obs::Metric;
 
     #[test]
     fn vm_constructs_with_defaults() {
@@ -277,6 +280,18 @@ mod tests {
 
         vm.clear_never_transported();
         assert_eq!(vm.never_transported_bits(), None);
+    }
+
+    #[test]
+    fn forced_minor_gc_is_billed_to_the_gc_bucket() {
+        let vm = Vm::with_defaults();
+        vm.metrics().profile_start();
+        let t = crate::MotorThread::attach(Arc::clone(&vm));
+        let h = t.alloc_prim_array(crate::types::ElemKind::U8, 64);
+        assert_eq!(vm.metrics().snapshot().get(Metric::ProfGcNanos), 0);
+        t.collect_minor();
+        assert!(vm.metrics().snapshot().get(Metric::ProfGcNanos) > 0);
+        t.release(h);
     }
 
     #[test]
