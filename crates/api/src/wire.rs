@@ -374,6 +374,18 @@ impl<'a> Reader<'a> {
     fn u32(&mut self) -> Result<u32> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
+    /// A wire count of items at least `min_bytes` long each, bounded by
+    /// the bytes left so no count can allocate beyond the input's size.
+    fn count(&mut self, min_bytes: usize) -> Result<usize> {
+        let n = self.u32()? as usize;
+        if n > (self.b.len() - self.pos) / min_bytes {
+            return Err(Error::Decode(format!(
+                "count {n} at byte {} exceeds the bytes left",
+                self.pos - 4
+            )));
+        }
+        Ok(n)
+    }
     fn str(&mut self) -> Result<&'a str> {
         let n = self.u16()? as usize;
         std::str::from_utf8(self.take(n)?).map_err(|_| Error::Decode("non-UTF8 type name".into()))
@@ -422,7 +434,8 @@ impl<'a> Doc<'a> {
     /// Parse the three-section representation.
     pub fn parse(bytes: &'a [u8]) -> Result<Doc<'a>> {
         let mut r = Reader { b: bytes, pos: 0 };
-        let ntypes = r.u32()? as usize;
+        // Every type entry is at least a kind byte and one more byte.
+        let ntypes = r.count(2)?;
         let mut types = Vec::with_capacity(ntypes);
         for _ in 0..ntypes {
             types.push(match r.u8()? {
@@ -454,7 +467,8 @@ impl<'a> Doc<'a> {
                 t => return Err(Error::Decode(format!("unknown type-entry kind {t}"))),
             });
         }
-        let nrecords = r.u32()? as usize;
+        // Every record starts with its 4-byte type index.
+        let nrecords = r.count(4)?;
         let mut records = Vec::with_capacity(nrecords);
         for _ in 0..nrecords {
             let t = r.u32()?;
@@ -480,7 +494,7 @@ impl<'a> Doc<'a> {
                     }
                 }
                 WType::ObjArray => {
-                    let len = r.u32()? as usize;
+                    let len = r.count(4)?;
                     let mut elems = Vec::with_capacity(len);
                     for _ in 0..len {
                         elems.push(r.u32()?);
@@ -867,5 +881,28 @@ mod tests {
         for cut in [0, 3, bytes.len() / 2, bytes.len() - 1] {
             assert!(decode::<Pair>(&bytes[..cut]).is_err(), "cut at {cut}");
         }
+    }
+
+    /// Wire counts are untrusted: a count larger than the bytes left is a
+    /// decode error, never an allocation sized by the attacker.
+    #[test]
+    fn oversized_wire_counts_are_rejected_before_allocating() {
+        let huge = u32::MAX.to_le_bytes();
+        // Type count.
+        assert!(matches!(
+            Doc::parse(&[0xff, 0xff, 0xff, 0x7f]),
+            Err(Error::Decode(_))
+        ));
+        // Record count, after an empty type table.
+        let records = [&0u32.to_le_bytes()[..], &huge].concat();
+        assert!(matches!(Doc::parse(&records), Err(Error::Decode(_))));
+        // Object-array length, in one record of a one-entry type table.
+        let mut obj = 1u32.to_le_bytes().to_vec();
+        obj.push(TT_OBJ_ARRAY);
+        obj.extend_from_slice(&0u32.to_le_bytes());
+        obj.extend_from_slice(&1u32.to_le_bytes());
+        obj.extend_from_slice(&0u32.to_le_bytes());
+        obj.extend_from_slice(&huge);
+        assert!(matches!(Doc::parse(&obj), Err(Error::Decode(_))));
     }
 }

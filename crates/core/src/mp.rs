@@ -623,12 +623,7 @@ impl<'t> Mp<'t> {
             SpanKind::MpProbe,
             span_arg_peer_tag(source_peer(src), tag.to_device()),
         );
-        loop {
-            fc.poll();
-            if let Some(s) = self.comm.iprobe(src, tag)? {
-                return Ok(s.into());
-            }
-        }
+        Ok(self.comm.probe_with(src, tag, || fc.poll())?.into())
     }
 
     /// Non-blocking probe.

@@ -14,7 +14,7 @@
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
-use motor_obs::{Metric, SpanKind};
+use motor_obs::{span_arg_peer_tag, Metric, SpanKind};
 
 use crate::device::Device;
 use crate::dtype::{as_bytes, as_bytes_mut, reduce_in_place, DType, MpcPrim, ReduceOp};
@@ -292,14 +292,27 @@ impl Comm {
     /// Blocking probe: status of the next matching message without
     /// receiving it.
     pub fn probe(&self, src: impl Into<Source>, tag: impl Into<Tag>) -> MpcResult<Status> {
+        self.probe_with(src, tag, || {})
+    }
+
+    /// [`Comm::probe`], invoking `yield_poll` every lap (Motor's GC-yield
+    /// hook). A directed probe on the world communicator whose peer dies
+    /// with nothing matching buffered fails with `PeerClosed`.
+    pub fn probe_with(
+        &self,
+        src: impl Into<Source>,
+        tag: impl Into<Tag>,
+        yield_poll: impl FnMut(),
+    ) -> MpcResult<Status> {
         let src = src.into();
         let tag = tag.into().to_device();
-        loop {
-            if let Some(s) = self.device.iprobe(src.to_device(), tag, self.context)? {
-                return Ok(s);
-            }
-            std::hint::spin_loop();
-        }
+        // Span args record a wildcard source as `u32::MAX`.
+        let arg = span_arg_peer_tag(src.rank().unwrap_or(u32::MAX as usize), tag);
+        let src = src.to_device();
+        self.device
+            .block_on(SpanKind::MpProbe, arg, yield_poll, || {
+                self.device.find_unexpected(src, tag, self.context)
+            })
     }
 
     /// Non-blocking probe.
@@ -769,25 +782,26 @@ impl Comm {
     }
 
     /// Wait until *any* of the requests completes; returns its index and
-    /// status (`MPI_Waitany`).
+    /// status (`MPI_Waitany`). A request failed by its peer's death
+    /// surfaces as `PeerClosed`.
     pub fn waitany(&self, reqs: &[Request]) -> MpcResult<(usize, Status)> {
         assert!(!reqs.is_empty(), "waitany on an empty request list");
-        let mut backoff = motor_pal::Backoff::with_config(self.device.wait_backoff());
-        loop {
-            for (i, r) in reqs.iter().enumerate() {
-                if r.is_complete() {
-                    return Ok((i, r.status()));
+        self.device.block_on(
+            SpanKind::DeviceWait,
+            reqs[0].id(),
+            || {},
+            || {
+                for (i, r) in reqs.iter().enumerate() {
+                    if r.is_complete() {
+                        return Ok(Some((i, r.status())));
+                    }
+                    if let Some(peer) = r.failed_peer() {
+                        return Err(MpcError::PeerClosed(peer));
+                    }
                 }
-                if let Some(peer) = r.failed_peer() {
-                    return Err(MpcError::PeerClosed(peer));
-                }
-            }
-            if self.device.progress()? {
-                backoff.reset();
-            } else {
-                backoff.snooze();
-            }
-        }
+                Ok(None)
+            },
+        )
     }
 
     // ------------------------------------------------------------------

@@ -39,8 +39,8 @@
 //! Any thread may drive progress — the owning rank, a dedicated progress
 //! thread ([`crate::progress::ProgressEngine`]), or a sibling rank's
 //! parked waiter stealing cycles ([`crate::progress::ProgressSet`]).
-//! Every completion notifies the device [`crate::progress::Waker`], which
-//! parked waiters use instead of blind backoff sleeps.
+//! Every completion notifies the device's generation waker, on which
+//! blocking calls (`Device::block_on`) park instead of sleeping blind.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -62,6 +62,15 @@ pub const ANY_SOURCE: i32 = -1;
 /// Wildcard tag (`MPI_ANY_TAG`).
 pub const ANY_TAG: i32 = -1;
 
+/// [`Device::block_on`] spins on idle laps `0..=SPIN_LAPS` (lap `k`
+/// issues `2^k` `spin_loop` hints) before it starts yielding the OS thread.
+const SPIN_LAPS: u32 = 6;
+/// Laps spent yielding after the spin tier before it parks on the waker.
+const YIELD_LAPS: u32 = 64;
+/// Longest single park; a notify from any thread that moves the device
+/// ends it early.
+const PARK_QUANTUM: Duration = Duration::from_micros(100);
+
 /// Device tuning parameters.
 #[derive(Debug, Clone)]
 pub struct DeviceConfig {
@@ -75,10 +84,6 @@ pub struct DeviceConfig {
     /// should share an epoch so their traces merge without calibration;
     /// `None` gives the registry a private epoch.
     pub epoch: Option<std::time::Instant>,
-    /// Backoff ladder used by `wait` loops (spin → yield → sleep).
-    /// Simulation pins this to [`motor_pal::BackoffConfig::no_sleep`] so
-    /// waits never couple virtual time to the host scheduler.
-    pub wait_backoff: motor_pal::BackoffConfig,
 }
 
 impl Default for DeviceConfig {
@@ -87,7 +92,6 @@ impl Default for DeviceConfig {
             eager_threshold: 64 * 1024,
             event_capacity: motor_obs::DEFAULT_EVENT_CAPACITY,
             epoch: None,
-            wait_backoff: motor_pal::BackoffConfig::default_ladder(),
         }
     }
 }
@@ -230,11 +234,6 @@ impl Device {
     /// The eager/rendezvous switchover point.
     pub fn eager_threshold(&self) -> usize {
         self.config.eager_threshold
-    }
-
-    /// The backoff ladder configured for wait loops.
-    pub fn wait_backoff(&self) -> motor_pal::BackoffConfig {
-        self.config.wait_backoff
     }
 
     /// Install the link to `peer` (universe wiring).
@@ -629,14 +628,30 @@ impl Device {
     // Probe
     // ------------------------------------------------------------------
 
-    /// Non-blocking probe: status of the first matching unexpected message,
-    /// without consuming it.
+    /// Non-blocking probe: one progress pass, then the status of the
+    /// first matching unexpected message, without consuming it. A
+    /// directed probe of a dead peer on context 0 with nothing buffered
+    /// fails with `PeerClosed`.
     pub fn iprobe(&self, src: i32, tag: i32, context: u32) -> MpcResult<Option<Status>> {
         self.progress()?;
+        self.find_unexpected(src, tag, context)
+    }
+
+    /// Status of the first unexpected message matching `(src, tag,
+    /// context)`, without consuming it and without a progress pass. When
+    /// nothing matches and the probe names a dead peer on context 0, no
+    /// match can ever arrive: it fails with `PeerClosed`, the rule
+    /// [`Device::irecv_raw`] applies to receives.
+    pub(crate) fn find_unexpected(
+        &self,
+        src: i32,
+        tag: i32,
+        context: u32,
+    ) -> MpcResult<Option<Status>> {
         let ms = self.match_state.lock();
         self.metrics
             .add(Metric::MatchAttempts, ms.unexpected.len() as u64);
-        Ok(ms
+        let found = ms
             .unexpected
             .iter()
             .find(|u| envelope_matches(u.envelope(), src, tag, context))
@@ -648,7 +663,11 @@ impl Device {
                     count: e.len as usize,
                     truncated: false,
                 }
-            }))
+            });
+        if found.is_none() && context == 0 && src >= 0 && ms.is_dead(src as usize) {
+            return Err(MpcError::PeerClosed(src as usize));
+        }
+        Ok(found)
     }
 
     // ------------------------------------------------------------------
@@ -876,64 +895,99 @@ impl Device {
 
     /// Drive progress until `req` completes, invoking `yield_poll` each
     /// lap — the hook where Motor parks for pending collections and where
-    /// the native baseline does nothing.
+    /// the native baseline does nothing. A request failed by its peer's
+    /// death surfaces as `PeerClosed`.
     ///
-    /// When the backoff ladder reaches its sleep tier the wait parks on
-    /// the device waker instead of blind-sleeping, so a completion driven
-    /// by *any* thread (a progress engine, a stealing sibling) cuts the
-    /// sleep short instead of costing up to a full quantum of latency.
-    /// Once past the spin tier, the waiter also lends its cycles to
-    /// sibling devices when a steal set is installed.
-    pub fn wait_with(&self, req: &Request, mut yield_poll: impl FnMut()) -> MpcResult<Status> {
+    /// This is `Device::block_on` over the request, plus the wait
+    /// bookkeeping only waits carry: the `OpBegin`/`OpEnd` events the
+    /// trace renders as `device_wait` spans and the [`Hist::WaitNanos`]
+    /// sample of a successful wait.
+    pub fn wait_with(&self, req: &Request, yield_poll: impl FnMut()) -> MpcResult<Status> {
         let start = self.metrics.now_nanos();
         self.metrics.event(EventKind::OpBegin, req.id(), 0);
-        let inflight = self.metrics.op_begin(SpanKind::DeviceWait, req.id());
-        let mut backoff = motor_pal::Backoff::with_config(self.config.wait_backoff);
-        loop {
-            yield_poll();
+        let status = self.block_on(SpanKind::DeviceWait, req.id(), yield_poll, || {
             if req.is_complete() {
-                let waited = self.metrics.now_nanos().saturating_sub(start);
-                self.metrics.op_end(inflight);
-                self.metrics.record(Hist::WaitNanos, waited);
-                self.metrics.event(EventKind::OpEnd, req.id(), waited);
-                return Ok(req.status());
+                return Ok(Some(req.status()));
             }
-            if let Some(peer) = req.failed_peer() {
-                self.metrics.op_end(inflight);
-                return Err(MpcError::PeerClosed(peer));
+            match req.failed_peer() {
+                Some(peer) => Err(MpcError::PeerClosed(peer)),
+                None => Ok(None),
             }
-            // Generation snapshot *before* the pass: progress made by
-            // another thread after this line bumps the generation, so the
-            // park below returns immediately rather than missing it.
-            let gen = self.waker.generation();
-            let moved = match self.progress() {
-                Ok(m) => m,
-                Err(e) => {
-                    self.metrics.op_end(inflight);
-                    return Err(e);
+        })?;
+        let waited = self.metrics.now_nanos().saturating_sub(start);
+        self.metrics.record(Hist::WaitNanos, waited);
+        self.metrics.event(EventKind::OpEnd, req.id(), waited);
+        Ok(status)
+    }
+
+    /// The polling-wait every blocking call runs (paper §7.1): until
+    /// `poll` yields a value or an error, call `yield_poll` (Motor's GC
+    /// safepoint hook), then drive progress, never blocking the runtime.
+    ///
+    /// Each lap calls `yield_poll` and then `poll`, so a condition that
+    /// already holds returns without a progress pass. Otherwise the lap
+    /// runs one progress pass. A lap that moves nothing escalates a
+    /// fixed ladder: 7 laps of exponential spinning, then 64 laps
+    /// yielding the OS thread, then parking on the device waker for up
+    /// to 100 µs at a time. Past the spin tier the
+    /// waiter also runs a steal sweep over its steal set, if one is
+    /// installed. Any movement resets the ladder.
+    ///
+    /// The call is registered in the doctor's in-flight table as
+    /// `(kind, arg)` for its whole duration, and heartbeats whenever
+    /// progress moves, so a live wait is never mistaken for a stall.
+    pub(crate) fn block_on<T>(
+        &self,
+        kind: SpanKind,
+        arg: u64,
+        yield_poll: impl FnMut(),
+        poll: impl FnMut() -> MpcResult<Option<T>>,
+    ) -> MpcResult<T> {
+        self.block_on_parked(kind, arg, PARK_QUANTUM, yield_poll, poll)
+    }
+
+    /// [`Device::block_on`] with the park quantum as a parameter, so a
+    /// test can make a timer wakeup fail loudly.
+    fn block_on_parked<T>(
+        &self,
+        kind: SpanKind,
+        arg: u64,
+        park: Duration,
+        mut yield_poll: impl FnMut(),
+        mut poll: impl FnMut() -> MpcResult<Option<T>>,
+    ) -> MpcResult<T> {
+        let inflight = self.metrics.op_begin(kind, arg);
+        let out = (|| {
+            // Laps without movement since the last reset.
+            let mut idle: u32 = 0;
+            loop {
+                yield_poll();
+                if let Some(v) = poll()? {
+                    return Ok(v);
                 }
-            };
-            if moved {
-                self.metrics.op_beat(inflight);
-                backoff.reset();
-                continue;
+                // Generation snapshot *before* the pass: progress made by
+                // another thread after this line bumps the generation, so
+                // the park below returns immediately rather than missing it.
+                let gen = self.waker.generation();
+                if self.progress()? || (idle > SPIN_LAPS && self.steal_once()) {
+                    self.metrics.op_beat(inflight);
+                    idle = 0;
+                } else if idle > SPIN_LAPS + YIELD_LAPS {
+                    self.waker.wait_next(gen, park);
+                } else {
+                    if idle <= SPIN_LAPS {
+                        for _ in 0..1u32 << idle {
+                            std::hint::spin_loop();
+                        }
+                    } else {
+                        std::thread::yield_now();
+                    }
+                    idle += 1;
+                }
             }
-            if backoff.is_yielding() && self.steal_once() {
-                self.metrics.op_beat(inflight);
-                backoff.reset();
-                continue;
-            }
-            if backoff.is_sleeping() {
-                let quantum = self
-                    .config
-                    .wait_backoff
-                    .sleep
-                    .unwrap_or(Duration::from_micros(100));
-                self.waker.wait_next(gen, quantum);
-            } else {
-                backoff.snooze();
-            }
-        }
+        })();
+        self.metrics.op_end(inflight);
+        out
     }
 
     /// Flush until a full pass moves nothing — the `MPI_Finalize`-style
@@ -1436,19 +1490,30 @@ mod tests {
     // Asynchronous progress
     // --------------------------------------------------------------
 
-    /// A wait parked in the backoff sleep tier must be woken by progress
-    /// another thread makes — not wait out the sleep quantum. The quantum
-    /// here is absurdly long so a missed wakeup fails loudly (hangs the
-    /// test harness timeout) rather than passing slowly.
+    /// A condition that already holds costs one `yield_poll` and no
+    /// progress pass: the FCall discipline polls the collector on entry
+    /// even when there is nothing to wait for.
+    #[test]
+    fn block_on_polls_once_when_already_done() {
+        let (d0, _d1) = duo();
+        let mut polls = 0;
+        let v = d0
+            .block_on(SpanKind::DeviceWait, 0, || polls += 1, || Ok(Some(7)))
+            .unwrap();
+        assert_eq!((v, polls), (7, 1));
+        let snap = d0.metrics().snapshot();
+        assert_eq!(snap.get(Metric::ProgressPolls), 0, "no progress pass");
+        assert!(d0.metrics().inflight_ops().is_empty(), "slot closed");
+    }
+
+    /// A blocking call parked on the waker must be woken by progress
+    /// another thread makes — not wait out the park quantum. The quantum
+    /// here is an hour, so a missed wakeup fails loudly (hangs the test
+    /// harness timeout) rather than passing slowly.
     #[test]
     fn parked_wait_is_woken_by_external_progress() {
         let (d0, d1) = duo_with(DeviceConfig {
             eager_threshold: 64,
-            wait_backoff: motor_pal::BackoffConfig {
-                spin_limit: 1,
-                yield_limit: 1,
-                sleep: Some(Duration::from_secs(3600)),
-            },
             ..DeviceConfig::default()
         });
         let data = vec![0x42u8; 4096];
@@ -1472,12 +1537,86 @@ mod tests {
         });
 
         let start = std::time::Instant::now();
-        let _st = d0.wait_with(&sreq, || {}).unwrap();
+        let hour = Duration::from_secs(3600);
+        d0.block_on_parked(
+            SpanKind::DeviceWait,
+            sreq.id(),
+            hour,
+            || {},
+            || Ok(sreq.is_complete().then_some(())),
+        )
+        .unwrap();
         assert!(
             start.elapsed() < Duration::from_secs(600),
             "woken by notification, not the timer"
         );
         driver.join().unwrap();
+    }
+
+    /// Every blocking call is visible to the doctor: a probe on a tag
+    /// nobody has sent yet and a `waitany` over unmatched receives are
+    /// listed as blocking in-flight ops while they wait, and gone once
+    /// they return.
+    #[test]
+    fn blocked_probe_and_waitany_are_listed_in_flight() {
+        let (d0, d1) = duo();
+        let alloc = Arc::new(std::sync::atomic::AtomicU32::new(2));
+        let world = crate::comm::Comm::assemble(Arc::clone(&d1), 0, Arc::new(vec![0, 1]), 1, alloc);
+        let prober = {
+            let world = world.clone();
+            std::thread::spawn(move || world.probe(0, 77).unwrap())
+        };
+        // Heap windows returned to the caller: the tag-78 receive stays
+        // posted after `waitany` returns, so its window must outlive it.
+        let waiter = std::thread::spawn(move || {
+            let mut bufs = vec![vec![0u8; 8], vec![0u8; 8]];
+            let reqs: Vec<Request> = bufs
+                .iter_mut()
+                .zip([78, 79])
+                .map(|(b, tag)| recv(world.device(), 0, tag, 0, b).unwrap())
+                .collect();
+            let (i, st) = world.waitany(&reqs).unwrap();
+            (i, st.tag, bufs)
+        });
+
+        let blocking = |d: &Device| -> Vec<SpanKind> {
+            let mut kinds: Vec<SpanKind> = d
+                .metrics()
+                .inflight_ops()
+                .into_iter()
+                .filter(|op| op.is_blocking())
+                .map(|op| op.kind)
+                .collect();
+            kinds.sort_by_key(|k| *k as u64);
+            kinds
+        };
+        let deadline = std::time::Instant::now() + Duration::from_secs(60);
+        let mut want = vec![SpanKind::MpProbe, SpanKind::DeviceWait];
+        want.sort_by_key(|k| *k as u64);
+        while blocking(&d1) != want {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "blocked calls never listed: {:?}",
+                blocking(&d1)
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let probe_op = d1
+            .metrics()
+            .inflight_ops()
+            .into_iter()
+            .find(|op| op.kind == SpanKind::MpProbe)
+            .unwrap();
+        assert_eq!(probe_op.peer_tag(), (0, 77));
+
+        send(&d0, 1, env(0, 0, 77), &[1u8; 8], false).unwrap();
+        send(&d0, 1, env(0, 0, 79), &[2u8; 8], false).unwrap();
+        d0.drain().unwrap();
+        let st = prober.join().unwrap();
+        assert_eq!((st.source, st.tag, st.count), (0, 77, 8));
+        let (i, tag, bufs) = waiter.join().unwrap();
+        assert_eq!((i, tag, &bufs[1][..]), (1, 79, &[2u8; 8][..]));
+        assert!(blocking(&d1).is_empty(), "both ops left the table");
     }
 
     /// Stealable progress: a third party driving the steal set completes

@@ -117,7 +117,7 @@ impl ProgressConfig {
 
 /// The device's completion notifier: a generation counter bumped (and
 /// broadcast) whenever *any* thread makes progress on the device. Waiters
-/// park here instead of sleeping a blind backoff quantum, so a completion
+/// park here instead of sleeping a blind quantum, so a completion
 /// driven by a progress thread — or any other thread — wakes them
 /// immediately rather than after up to one full sleep interval.
 #[derive(Default)]

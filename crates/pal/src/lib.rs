@@ -17,19 +17,18 @@
 //!   two implementations: in-process shared memory ([`link::shm_pair`]) and
 //!   real TCP over loopback ([`link::tcp_pair`]), mirroring MPICH2's `shm`
 //!   and `sock` channels.
-//! * [`poll`] — the *polling-wait* primitive. Motor replaced MPICH2's
-//!   blocking system calls with a polling wait that periodically yields to
-//!   the garbage collector; [`poll::polling_wait`] is that loop, generic
-//!   over the "yield" callback.
 //! * [`error`] — the PAL error type.
+//!
+//! The paper's *polling-wait* — the loop that replaced MPICH2's blocking
+//! system calls and periodically yields to the garbage collector — is not
+//! here: it must drive the message-passing device's progress engine, so
+//! it lives one layer up, as `motor_mpc::device::Device::block_on`.
 
 pub mod clock;
 pub mod error;
 pub mod link;
-pub mod poll;
 pub mod ring;
 
 pub use clock::{HostTicks, TickSource, VirtualClock};
 pub use error::{PalError, PalResult};
 pub use link::{shm_pair, tcp_pair, BoxedLink, ByteLink};
-pub use poll::{polling_wait, polling_wait_with, Backoff, BackoffConfig};

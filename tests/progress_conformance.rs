@@ -16,20 +16,21 @@
 //!   run with progress explicitly `off` produce identical schedule
 //!   fingerprints (steps, virtual clock, protocol counters), twice over.
 //!
-//! Plus the backoff-ladder fix pin: a waiter parked in the sleep tier is
-//! woken by the engine's completion notification, not the sleep timer —
-//! the test sets a quantum so large that regressing to timer wakeups
-//! fails the run wholesale.
+//! Blocking calls other than `wait` hold the same line: a `probe` or a
+//! `waitany` on a peer whose link dies fails with `PeerClosed` in every
+//! mode, including `off`, instead of spinning forever.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::{Barrier, Mutex};
 use std::time::{Duration, Instant};
 
 use motor::mpc::device::DeviceConfig;
 use motor::mpc::universe::{Universe, UniverseConfig};
-use motor::mpc::{MpcError, ProgressConfig, ProgressMode};
+use motor::mpc::{MpcError, MpcResult, ProgressConfig, ProgressMode, Source};
 use motor::obs::Metric;
 use motor::pal::TickSource;
-use motor_sim::{seed_matrix, FaultPlan, Schedule, SimConfig, SimNet};
+use motor_sim::{seed_matrix, FaultPlan, Schedule, SimConfig, SimFabric, SimNet};
 
 /// Threshold small enough that both protocols appear in mixed workloads.
 const EAGER_T: usize = 64;
@@ -52,21 +53,25 @@ fn sim_config(
     }
 }
 
-/// The engine modes under test, with their display names. `MOTOR_PROGRESS`
-/// narrows the matrix to one engine mode so CI can run (and attribute
-/// failures to) `thread` and `steal` as separate jobs; unset runs both.
-fn engine_modes() -> Vec<(ProgressConfig, &'static str)> {
-    let all = vec![
+/// The progress modes under test, with their display names: the engine
+/// modes, plus `off` when `with_off` is set. `MOTOR_PROGRESS` narrows the
+/// matrix to one mode so CI can run (and attribute failures to) `thread`
+/// and `steal` as separate jobs; unset runs them all.
+fn modes(with_off: bool) -> Vec<(ProgressConfig, &'static str)> {
+    let mut all = vec![
         (ProgressConfig::thread(), "thread"),
         (ProgressConfig::steal(), "steal"),
     ];
+    if with_off {
+        all.insert(0, (ProgressConfig::off(), "off"));
+    }
     match std::env::var("MOTOR_PROGRESS") {
         Ok(v) if !v.trim().is_empty() => {
             let v = v.trim().to_ascii_lowercase();
             let picked: Vec<_> = all.into_iter().filter(|(_, name)| **name == v).collect();
             assert!(
                 !picked.is_empty(),
-                "MOTOR_PROGRESS={v:?} names no engine mode (use thread|steal, or unset for both)"
+                "MOTOR_PROGRESS={v:?} names no mode under test here (use thread|steal, or unset for all)"
             );
             picked
         }
@@ -217,7 +222,7 @@ fn rendezvous_completes_without_owner_entering_wait() {
 #[test]
 fn non_overtaking_holds_with_engine_on() {
     let sizes = [16usize, 200, 8, 300, 1, EAGER_T, EAGER_T + 1, 500, 32, 100];
-    for (progress, mode) in engine_modes() {
+    for (progress, mode) in modes(false) {
         for seed in seed_matrix() {
             let mut net = SimNet::new(
                 seed,
@@ -263,7 +268,7 @@ fn non_overtaking_holds_with_engine_on() {
 #[test]
 fn any_source_fifo_holds_with_engine_on() {
     const PER_SENDER: usize = 3;
-    for (progress, mode) in engine_modes() {
+    for (progress, mode) in modes(false) {
         for seed in seed_matrix() {
             let mut net = SimNet::new(
                 seed,
@@ -318,7 +323,7 @@ fn any_source_fifo_holds_with_engine_on() {
 /// not mask or mangle the failure path.
 #[test]
 fn mid_message_death_fails_cleanly_with_engine_on() {
-    for (progress, mode) in engine_modes() {
+    for (progress, mode) in modes(false) {
         for seed in seed_matrix() {
             let mut net = SimNet::new(
                 seed,
@@ -436,49 +441,101 @@ fn engine_off_is_bit_for_bit_legacy() {
 }
 
 // ----------------------------------------------------------------------
-// Backoff-ladder fix: completion notification beats the sleep timer.
+// Blocking calls on a dead peer fail instead of spinning.
 // ----------------------------------------------------------------------
 
-/// A rank blocked in `wait` whose backoff reached the sleep tier must be
-/// woken by the progress engine's completion notification. The sleep
-/// quantum is set to an hour: if the wait ever falls back to waiting out
-/// the timer — the PR 5 latency bug this pins — the run blows the
-/// 60-second bound instead of shipping a silently slow CTS.
-#[test]
-fn parked_sleep_tier_is_woken_by_completion_not_timer() {
+/// Run `f` on its own thread and return its result, failing the test with
+/// a message if it is still running after 60 s (a hang becomes a failure,
+/// not a stuck CI job).
+fn within_deadline<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = mpsc::channel();
+    let runner = std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    match rx.recv_timeout(Duration::from_secs(60)) {
+        Ok(v) => {
+            runner.join().expect("runner finished after sending");
+            v
+        }
+        // A hung runner cannot be joined; the test process reaps it.
+        Err(RecvTimeoutError::Timeout) => panic!("{what}: still blocked after 60 s"),
+        Err(RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(runner.join().expect_err("runner dropped its sender"))
+        }
+    }
+}
+
+/// The blocking call rank 1 makes while rank 0's link dies.
+#[derive(Clone, Copy, Debug)]
+enum DeadPeerCall {
+    /// `probe` for a tag rank 0 never sends.
+    Probe,
+    /// `waitany` over two receives for tags rank 0 never sends.
+    Waitany,
+}
+
+/// Two threaded ranks over a wire that dies 700 bytes into rank 0's
+/// 5000-byte eager send; returns what rank 1's blocking `call` returned.
+/// Rank 0 starts sending only once rank 1 has posted its receives, so the
+/// receives are live when the link dies.
+fn dead_peer_outcome(progress: ProgressConfig, call: DeadPeerCall) -> MpcResult<()> {
+    let fabric = SimFabric::new(42, FaultPlan::trickle(8).with_close_after(700));
     let cfg = UniverseConfig {
-        device: DeviceConfig {
-            eager_threshold: EAGER_T,
-            wait_backoff: motor::pal::BackoffConfig {
-                spin_limit: 2,
-                yield_limit: 2,
-                sleep: Some(Duration::from_secs(3600)),
-            },
-            ..DeviceConfig::default()
-        },
-        progress: ProgressConfig::thread(),
+        link_factory: Some(fabric.factory()),
+        progress,
         ..UniverseConfig::default()
     };
-    let start = Instant::now();
+    let posted = Barrier::new(2);
+    let outcome = Mutex::new(None);
     Universe::run_with(2, cfg, |proc| {
         let world = proc.world();
-        let n = 50_000usize; // rendezvous: RTS → CTS → data → done
         if world.rank() == 0 {
-            // Sender posts immediately and blocks; its ladder hits the
-            // sleep tier while the receiver is still "computing".
-            world.send_bytes(&vec![0xEEu8; n], 1, 9).unwrap();
-        } else {
-            std::thread::sleep(Duration::from_millis(100));
-            let mut buf = vec![0u8; n];
-            world.recv_bytes(&mut buf, 0, 9).unwrap();
-            assert_eq!(buf, vec![0xEEu8; n]);
+            posted.wait();
+            // The fuse blows mid-frame, before or after this returns.
+            let _ = world.send_bytes(&[0x5Au8; 5000], 1, 1);
+            return;
         }
+        let result = match call {
+            DeadPeerCall::Probe => {
+                posted.wait();
+                world.probe(Source::Rank(0), 99).map(drop)
+            }
+            DeadPeerCall::Waitany => {
+                let mut a = vec![0u8; 16];
+                let mut b = vec![0u8; 16];
+                // SAFETY: both windows outlive the wait below; a receive
+                // failed by the dead link is never written afterwards.
+                let reqs = unsafe {
+                    [
+                        world.irecv_ptr(a.as_mut_ptr(), a.len(), 0, 2).unwrap(),
+                        world.irecv_ptr(b.as_mut_ptr(), b.len(), 0, 3).unwrap(),
+                    ]
+                };
+                posted.wait();
+                world.waitany(&reqs).map(drop)
+            }
+        };
+        *outcome.lock().unwrap() = Some(result);
     })
     .unwrap();
-    assert!(
-        start.elapsed() < Duration::from_secs(60),
-        "a parked waiter burned its sleep quantum instead of being woken \
-         (elapsed {:?})",
-        start.elapsed()
-    );
+    let result = outcome.lock().unwrap().take();
+    result.expect("rank 1 recorded an outcome")
+}
+
+/// A blocking `probe` for a message a dead peer will never send, and a
+/// `waitany` over receives from it, both return `PeerClosed` — in every
+/// progress mode. Before the single polling-wait, the directed probe
+/// spun forever: the dead link left nothing in the unexpected queue and
+/// the probe loop had no dead-peer rule.
+#[test]
+fn probe_and_waitany_on_dead_peer_return_peer_closed() {
+    for (progress, mode) in modes(true) {
+        for call in [DeadPeerCall::Probe, DeadPeerCall::Waitany] {
+            let what = format!("mode {mode}: {call:?} on a dead peer");
+            match within_deadline(&what, move || dead_peer_outcome(progress, call)) {
+                Err(MpcError::PeerClosed(0)) => {}
+                other => panic!("{what}: expected PeerClosed(0), got {other:?}"),
+            }
+        }
+    }
 }
